@@ -372,39 +372,6 @@ impl Compiled {
         Ok(self.attach_fused_from_profile(&stats, &profile))
     }
 
-    /// [`Compiled::build_fused_tier`] with the profiling run and the
-    /// fusion pass observed through `obs`: `profile` and `fuse` spans
-    /// labelled with `bench`, plus `fuse.pairs`, `fuse.ops_fused`,
-    /// `fuse.dispatches_saved` counters and a per-mille
-    /// `fuse.coverage_permille` gauge.
-    ///
-    /// # Errors
-    ///
-    /// See [`Compiled::profile`].
-    pub fn build_fused_tier_obs(
-        &mut self,
-        obs: &Registry,
-        bench: &str,
-    ) -> Result<&FusedTier, PipelineError> {
-        let labels: &[(&str, &str)] = &[("bench", bench)];
-        let (stats, profile, _steps) = {
-            let _span = obs.span("profile", labels);
-            self.profile()?
-        };
-        let tier = {
-            let _span = obs.span("fuse", labels);
-            self.attach_fused_from_profile(&stats, &profile)
-        };
-        obs.counter("fuse.pairs", labels).add(tier.report.pairs);
-        obs.counter("fuse.ops_fused", labels)
-            .add(tier.report.ops_fused);
-        obs.counter("fuse.dispatches_saved", labels)
-            .add(tier.report.dispatches_saved);
-        obs.gauge("fuse.coverage_permille", labels)
-            .set((tier.report.coverage() * 1000.0) as i64);
-        Ok(tier)
-    }
-
     /// Installs a fused tier restored from a serialized artifact,
     /// cross-checking that it is parallel to this program's IntCode
     /// (same invariant [`Compiled::from_artifact`] enforces for the
@@ -489,11 +456,14 @@ impl Compiled {
         batch::run_batch_parallel(self.serving_program(), &self.layout, queries, workers)
     }
 
-    /// One serving-tier *batch* request: `n` default-config queries
-    /// run back-to-back on pooled state under a per-request trace
-    /// span, each answer self-checked exactly like
-    /// [`Compiled::run_query_obs`]. Returns per-query step counts in
-    /// query index order.
+    /// One serving-tier request: `n` default-config queries run
+    /// back-to-back on pooled state under a `serve.query` trace span
+    /// carrying the request id, `n` and the tier that answered, each
+    /// answer self-checked exactly like [`Compiled::run_sequential`].
+    /// Returns per-query step counts in query index order. The span is
+    /// a [`Registry::event_span`] — trace event only, no histogram —
+    /// because request ids are unbounded and would otherwise mint one
+    /// histogram cell per request.
     ///
     /// # Errors
     ///
@@ -514,7 +484,7 @@ impl Compiled {
             "decoded"
         };
         let _span = obs.event_span(
-            "serve.query_batch",
+            "serve.query",
             &[("req", &req), ("n", &batch_n), ("tier", tier)],
         );
         let queries = vec![ExecConfig::default(); n];
@@ -526,26 +496,6 @@ impl Compiled {
                 Err(e) => Err(PipelineError::Exec(e)),
             })
             .collect()
-    }
-
-    /// One serving-tier query: [`Compiled::run_sequential_fast`] under
-    /// a per-request trace span carrying the request id and the tier
-    /// that answered. The span is a [`Registry::event_span`] — trace
-    /// event only, no histogram — because request ids are unbounded
-    /// and would otherwise mint one histogram cell per request.
-    ///
-    /// # Errors
-    ///
-    /// See [`Compiled::run_sequential`].
-    pub fn run_query_obs(&self, obs: &Registry, req_id: u64) -> Result<RunResult, PipelineError> {
-        let req = req_id.to_string();
-        let tier = if self.fused.is_some() {
-            "fused"
-        } else {
-            "decoded"
-        };
-        let _span = obs.event_span("serve.query", &[("req", &req), ("tier", tier)]);
-        self.run_sequential_fast()
     }
 }
 
@@ -698,23 +648,6 @@ mod tests {
         let err = c.attach_fused_tier(tier).unwrap_err();
         assert!(matches!(err, PipelineError::Artifact(_)), "{err}");
         assert!(c.fused.is_none());
-    }
-
-    #[test]
-    fn fused_tier_obs_counters_account_the_pass() {
-        let obs = Registry::new();
-        let mut c = Compiled::from_source("main :- X is 5 * 5, X = 25.").unwrap();
-        let report = c.build_fused_tier_obs(&obs, "t").unwrap().report.clone();
-        let labels: &[(&str, &str)] = &[("bench", "t")];
-        assert_eq!(obs.counter("fuse.pairs", labels).get(), report.pairs);
-        assert_eq!(
-            obs.counter("fuse.ops_fused", labels).get(),
-            report.ops_fused
-        );
-        assert_eq!(
-            obs.counter("fuse.dispatches_saved", labels).get(),
-            report.dispatches_saved
-        );
     }
 
     #[test]

@@ -45,8 +45,8 @@ pub enum FlightKind {
     /// A request entered the queue (`a` = request id, `b` = depth
     /// after enqueue).
     Enqueue = 1,
-    /// A batch left the queue (`a` = first request id, `b` = batch
-    /// size).
+    /// A request left the queue (`a` = request id, `b` = depth after
+    /// dequeue).
     Dequeue = 2,
     /// A query began executing (`a` = request id).
     QueryStart = 3,

@@ -147,16 +147,13 @@ fn main() -> ExitCode {
 
     let mut failed = false;
     for b in &selected {
-        // The shared loaders run behind the cache's single-flight
-        // guard, so restarting with many benchmarks warm never decodes
-        // an artifact more than once per key.
         let loaded = if args.fused {
-            cache.load_compiled_fused_shared(b.source, Layout::default())
+            cache.load_compiled_fused(b.source, Layout::default())
         } else {
-            cache.load_compiled_shared(b.source, Layout::default())
+            cache.load_compiled(b.source, Layout::default())
         };
         let compiled = match loaded {
-            Ok(c) => c,
+            Ok(c) => Arc::new(c),
             Err(e) => {
                 eprintln!("symbol-serve: {}: {e}", b.name);
                 failed = true;
@@ -261,11 +258,10 @@ fn main() -> ExitCode {
                         .map(|(pc, n)| format!("{pc}:{n}"))
                         .collect();
                     println!(
-                        "  stats {}: {} | {} | {} | hot_pcs [{}]",
+                        "  stats {}: {} | {} | hot_pcs [{}]",
                         b.name,
                         line("execute", &report.execute),
                         line("queue_wait", &report.queue_wait),
-                        line("select", &report.select),
                         hot.join(" ")
                     );
                     let p99_ok = report.execute.is_some_and(|q| q.is_finite() && q.count > 0);

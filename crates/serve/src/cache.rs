@@ -23,10 +23,9 @@
 //!   leaves a flight record carrying the key's hashes, so incident
 //!   dumps show the cache traffic around a slow query.
 
-use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 
 use symbol_core::pipeline::Compiled;
 use symbol_core::PipelineError;
@@ -34,50 +33,6 @@ use symbol_intcode::Layout;
 use symbol_obs::{FlightKind, FlightRecorder, Registry};
 
 use crate::artifact::{self, Artifact, ArtifactKey, Payload, PayloadKind};
-
-/// One in-flight load a single-flight leader publishes its image
-/// through: followers wait on `done` and share the leader's
-/// `Arc<Compiled>` instead of reading and decoding the file again.
-#[derive(Default)]
-struct InFlight {
-    slot: Mutex<InFlightSlot>,
-    done: Condvar,
-}
-
-#[derive(Default)]
-struct InFlightSlot {
-    done: bool,
-    /// `None` after `done` means the leader failed — followers fall
-    /// back to an independent load rather than sharing an error.
-    image: Option<Arc<Compiled>>,
-}
-
-impl std::fmt::Debug for InFlight {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("InFlight")
-    }
-}
-
-impl InFlight {
-    /// Publishes `image` (or a failure when `None`) and wakes every
-    /// waiting follower.
-    fn publish(&self, image: Option<Arc<Compiled>>) {
-        let mut slot = self.slot.lock().expect("inflight slot lock");
-        slot.done = true;
-        slot.image = image;
-        self.done.notify_all();
-    }
-
-    /// Blocks until the leader publishes; returns its shared image, or
-    /// `None` when the leader failed.
-    fn wait(&self) -> Option<Arc<Compiled>> {
-        let mut slot = self.slot.lock().expect("inflight slot lock");
-        while !slot.done {
-            slot = self.done.wait(slot).expect("inflight slot lock");
-        }
-        slot.image.clone()
-    }
-}
 
 /// A directory of compiled artifacts plus the observability handle all
 /// cache traffic is reported through.
@@ -87,10 +42,6 @@ pub struct ArtifactCache {
     obs: Registry,
     flight: Arc<FlightRecorder>,
     seq: AtomicU64,
-    /// Single-flight table of loads currently being computed, keyed by
-    /// artifact file name. N workers warming the same image read and
-    /// decode it once; the rest share the leader's `Arc<Compiled>`.
-    inflight: Mutex<HashMap<String, Arc<InFlight>>>,
 }
 
 impl ArtifactCache {
@@ -116,7 +67,6 @@ impl ArtifactCache {
             obs,
             flight: Arc::new(FlightRecorder::disabled()),
             seq: AtomicU64::new(0),
-            inflight: Mutex::new(HashMap::new()),
         })
     }
 
@@ -332,93 +282,6 @@ impl ArtifactCache {
         let _ = self.store(&key, PayloadKind::Fused, &bytes);
         Ok(compiled)
     }
-
-    /// Runs `compute` under the single-flight guard for `flight_key`:
-    /// the first caller (the leader) computes, everyone who arrives
-    /// while it is in flight (followers) blocks and shares the
-    /// leader's `Arc<Compiled>` — the artifact file is read and
-    /// decoded exactly once no matter how many workers warm the same
-    /// image concurrently. Leader/follower traffic is counted under
-    /// `serve.cache.singleflight{kind, role}`.
-    ///
-    /// If the leader fails, followers retry independently (errors are
-    /// not shareable), so a transient leader failure never poisons the
-    /// key.
-    fn single_flight(
-        &self,
-        flight_key: String,
-        kind: &str,
-        compute: impl Fn() -> Result<Compiled, PipelineError>,
-    ) -> Result<Arc<Compiled>, PipelineError> {
-        let role = obs_role(&self.obs, kind);
-        let flight = {
-            let mut map = self.inflight.lock().expect("inflight lock");
-            match map.get(&flight_key) {
-                Some(f) => {
-                    let f = Arc::clone(f);
-                    role("follower");
-                    drop(map);
-                    if let Some(image) = f.wait() {
-                        return Ok(image);
-                    }
-                    return compute().map(Arc::new);
-                }
-                None => {
-                    let f = Arc::new(InFlight::default());
-                    map.insert(flight_key.clone(), Arc::clone(&f));
-                    role("leader");
-                    f
-                }
-            }
-        };
-        let result = compute().map(Arc::new);
-        // Unregister before publishing so late arrivals become fresh
-        // leaders instead of reading a stale slot.
-        self.inflight
-            .lock()
-            .expect("inflight lock")
-            .remove(&flight_key);
-        flight.publish(result.as_ref().ok().map(Arc::clone));
-        result
-    }
-
-    /// [`ArtifactCache::load_compiled`] behind the single-flight
-    /// guard, returning a shareable image: concurrent warmers of the
-    /// same `(source, layout)` read and decode the artifact once and
-    /// all receive clones of one `Arc<Compiled>`.
-    ///
-    /// # Errors
-    ///
-    /// See [`ArtifactCache::load_compiled`].
-    pub fn load_compiled_shared(
-        &self,
-        source: &str,
-        layout: Layout,
-    ) -> Result<Arc<Compiled>, PipelineError> {
-        let flight_key = ArtifactKey::emulator(source, &layout).file_name(PayloadKind::Emulator);
-        self.single_flight(flight_key, "emu", || self.load_compiled(source, layout))
-    }
-
-    /// [`ArtifactCache::load_compiled_fused`] behind the single-flight
-    /// guard — the fused warm path re-derives the profile, so
-    /// collapsing N concurrent warmers to one saves N-1 profiling runs
-    /// on top of the reads and decodes.
-    ///
-    /// # Errors
-    ///
-    /// See [`ArtifactCache::load_compiled_fused`].
-    pub fn load_compiled_fused_shared(
-        &self,
-        source: &str,
-        layout: Layout,
-    ) -> Result<Arc<Compiled>, PipelineError> {
-        // Keyed without the profile hash (it is not known until after
-        // profiling): one flight per (source, layout) and tier.
-        let flight_key = ArtifactKey::emulator(source, &layout).file_name(PayloadKind::Fused);
-        self.single_flight(flight_key, "fused", || {
-            self.load_compiled_fused(source, layout)
-        })
-    }
 }
 
 /// Age beyond which an orphaned `.tmp-*` file is reclaimed even when
@@ -480,18 +343,6 @@ fn reclaim_stale_temps(dir: &Path, obs: &Registry) -> u64 {
         obs.counter("serve.cache.tmp_reclaimed", &[]).add(reclaimed);
     }
     reclaimed
-}
-
-/// Curried `serve.cache.singleflight` counter: resolves the labelled
-/// cell per role at call time.
-fn obs_role<'a>(obs: &'a Registry, kind: &'a str) -> impl Fn(&str) + 'a {
-    move |role: &str| {
-        obs.counter(
-            "serve.cache.singleflight",
-            &[("kind", kind), ("role", role)],
-        )
-        .inc();
-    }
 }
 
 #[cfg(test)]
@@ -680,157 +531,6 @@ mod tests {
             assert_eq!(r.a, key.source_hash, "payload carries the key hashes");
             assert_eq!(r.b, key.config_hash);
         }
-    }
-
-    #[test]
-    fn concurrent_warmers_share_one_decode_through_single_flight() {
-        let t = TempDir::new("singleflight");
-        let obs = Registry::new();
-        let cache = Arc::new(ArtifactCache::new(&t.0, obs.clone()).expect("open cache"));
-        // Seed so every loader takes the warm (read + decode) path.
-        cache.load_compiled(SRC, Layout::default()).expect("seed");
-        let images: Vec<Arc<Compiled>> = (0..8)
-            .map(|_| {
-                let cache = Arc::clone(&cache);
-                std::thread::spawn(move || {
-                    cache
-                        .load_compiled_shared(SRC, Layout::default())
-                        .expect("warm")
-                })
-            })
-            .collect::<Vec<_>>()
-            .into_iter()
-            .map(|th| th.join().expect("no panic"))
-            .collect();
-        let sf = |role: &str| {
-            obs.counter(
-                "serve.cache.singleflight",
-                &[("kind", "emu"), ("role", role)],
-            )
-            .get()
-        };
-        assert_eq!(sf("leader") + sf("follower"), 8);
-        assert!(sf("leader") >= 1);
-        assert_eq!(
-            counter(&obs, "serve.cache.hit") + counter(&obs, "serve.cache.miss"),
-            sf("leader") + 1,
-            "+1 for the seed: only leaders touch the disk, followers share"
-        );
-        let steps: Vec<u64> = images
-            .iter()
-            .map(|c| c.run_sequential().expect("runs").steps)
-            .collect();
-        assert!(steps.windows(2).all(|w| w[0] == w[1]));
-    }
-
-    #[test]
-    fn followers_share_the_leaders_image_without_touching_the_disk() {
-        let t = TempDir::new("sfshare");
-        let obs = Registry::new();
-        let cache = Arc::new(ArtifactCache::new(&t.0, obs.clone()).expect("open cache"));
-        let flight_key =
-            ArtifactKey::emulator(SRC, &Layout::default()).file_name(PayloadKind::Emulator);
-        let flight = Arc::new(InFlight::default());
-        cache
-            .inflight
-            .lock()
-            .unwrap()
-            .insert(flight_key, Arc::clone(&flight));
-        let follower = {
-            let cache = Arc::clone(&cache);
-            std::thread::spawn(move || {
-                cache
-                    .load_compiled_shared(SRC, Layout::default())
-                    .expect("published image")
-            })
-        };
-        let image = Arc::new(Compiled::from_source(SRC).expect("compiles"));
-        flight.publish(Some(Arc::clone(&image)));
-        let got = follower.join().expect("follower returns");
-        assert!(
-            Arc::ptr_eq(&got, &image),
-            "the follower shares the published image, pointer-identical"
-        );
-        assert_eq!(
-            counter(&obs, "serve.cache.hit") + counter(&obs, "serve.cache.miss"),
-            0,
-            "the follower never read the cache directory"
-        );
-        assert_eq!(
-            obs.counter(
-                "serve.cache.singleflight",
-                &[("kind", "emu"), ("role", "follower")]
-            )
-            .get(),
-            1
-        );
-    }
-
-    #[test]
-    fn a_failed_leader_does_not_poison_followers() {
-        let t = TempDir::new("sffail");
-        let obs = Registry::new();
-        let cache = Arc::new(ArtifactCache::new(&t.0, obs.clone()).expect("open cache"));
-        let flight_key =
-            ArtifactKey::emulator(SRC, &Layout::default()).file_name(PayloadKind::Emulator);
-        let flight = Arc::new(InFlight::default());
-        cache
-            .inflight
-            .lock()
-            .unwrap()
-            .insert(flight_key, Arc::clone(&flight));
-        let follower = {
-            let cache = Arc::clone(&cache);
-            std::thread::spawn(move || cache.load_compiled_shared(SRC, Layout::default()))
-        };
-        flight.publish(None);
-        let got = follower
-            .join()
-            .expect("follower returns")
-            .expect("independent fallback load succeeds");
-        got.run_sequential().expect("fallback image runs");
-        assert_eq!(
-            counter(&obs, "serve.cache.miss"),
-            1,
-            "the fallback load compiled independently"
-        );
-    }
-
-    #[test]
-    fn fused_single_flight_collapses_concurrent_cold_warmups() {
-        let t = TempDir::new("sffused");
-        let obs = Registry::new();
-        let cache = Arc::new(ArtifactCache::new(&t.0, obs.clone()).expect("open cache"));
-        let images: Vec<Arc<Compiled>> = (0..4)
-            .map(|_| {
-                let cache = Arc::clone(&cache);
-                std::thread::spawn(move || {
-                    cache
-                        .load_compiled_fused_shared(LOOP_SRC, Layout::default())
-                        .expect("tiered image")
-                })
-            })
-            .collect::<Vec<_>>()
-            .into_iter()
-            .map(|th| th.join().expect("no panic"))
-            .collect();
-        let sf = |role: &str| {
-            obs.counter(
-                "serve.cache.singleflight",
-                &[("kind", "fused"), ("role", role)],
-            )
-            .get()
-        };
-        assert_eq!(sf("leader") + sf("follower"), 4);
-        assert!(sf("leader") >= 1);
-        let runs: Vec<u64> = images
-            .iter()
-            .map(|c| {
-                assert!(c.fused.is_some(), "every warmer got the tiered image");
-                c.run_sequential_fused().expect("fused runs").steps
-            })
-            .collect();
-        assert!(runs.windows(2).all(|w| w[0] == w[1]));
     }
 
     #[test]

@@ -2,26 +2,19 @@
 //!
 //! One immutable [`Compiled`] image is shared (via `Arc`) by a bounded
 //! pool of `std::thread` workers that answer independent queries
-//! against it. The run queue is **sharded**: each worker owns one
-//! lock-protected deque, submitters scatter requests round-robin
-//! across the shards, and a worker that drains its own shard dry
-//! steals a bounded batch (at most half the victim's queue, capped at
-//! `max_batch`) from a sibling before sleeping. Workers contend on
-//! their own shard's lock, not one global queue lock; a small
-//! coordination mutex tracks only the global pending count for
-//! backpressure (submitters block while `pending >= queue_capacity`)
-//! and sleep/wake. Workers drain requests in small batches, paying
-//! their shard lock once per batch rather than once per request, and
-//! run batches back-to-back on the pinned image with per-query engine
-//! state recycled through a per-worker arena pool
-//! ([`symbol_intcode::batch::ArenaPool`]) — no per-query
-//! register/heap allocation on the hot path.
+//! against it. The run queue is one bounded FIFO behind one mutex:
+//! submitters block while it holds `queue_capacity` requests
+//! (backpressure), and a worker claims one request per lock
+//! acquisition. Every run request — a plain query is a batch of one —
+//! executes on the worker's arena pool
+//! ([`symbol_intcode::batch::ArenaPool`]), so there is no per-query
+//! register/memory allocation on the hot path.
 //!
-//! Shard assignment, steal order and worker count are invisible in
-//! the results: every query is an independent deterministic execution
-//! of the same image, and [`QueryServer::finish`] returns answers in
-//! id order — bit-identical to a sequential run of the same queries,
-//! which the workspace determinism suite asserts.
+//! Which worker claims which request is invisible in the results:
+//! every query is an independent deterministic execution of the same
+//! image, and [`QueryServer::finish`] returns answers in id order —
+//! bit-identical to a sequential run of the same queries, which the
+//! workspace determinism suite asserts.
 //!
 //! The server is panic-free by construction: each query runs under
 //! `catch_unwind`, so even a defect that would panic the emulator is
@@ -47,20 +40,13 @@
 //!   with which execution tier answered each successful query,
 //! * `serve.queue.depth` gauge, incremented on enqueue and
 //!   decremented on dequeue (exactly zero once the queue drains),
-//!   plus a per-shard `serve.queue.depth{shard=i}` gauge per worker,
-//! * `serve.shard.steals{shard=i}` / `serve.shard.stolen{shard=i}`
-//!   counters — steal sweeps worker `i` performed and requests it
-//!   took from siblings,
-//! * `serve.batch` histogram of batch sizes, with per-shard
-//!   `serve.shard.batch{shard=i}` and `serve.shard.run.ns{shard=i}`
-//!   (wall time of each claimed batch) breakdowns,
 //! * `serve.batch.queries` counter of sub-queries answered through
 //!   batched [`QueryServer::submit_batch`] requests,
 //! * `serve.stage.ns` histograms labelled `stage=queue_wait` /
-//!   `select` / `execute` and by `tier` — the per-stage latency split
-//!   live stats queries report quantiles over,
+//!   `execute` and by `tier` — the per-stage latency split live stats
+//!   queries report quantiles over,
 //! * a per-request `serve.query` trace span carrying the request id
-//!   (see [`Compiled::run_query_obs`]).
+//!   (see [`Compiled::run_query_batch_obs`]).
 //!
 //! And, independent of the registry, a lock-free
 //! [`FlightRecorder`] ring capturing the last
@@ -89,9 +75,6 @@ pub struct ServerConfig {
     /// Maximum queued requests before [`QueryServer::submit`] blocks
     /// (clamped to at least 1).
     pub queue_capacity: usize,
-    /// Maximum requests a worker takes per lock acquisition (clamped
-    /// to at least 1).
-    pub max_batch: usize,
     /// Flight-recorder ring capacity in records (0 disables the
     /// recorder entirely).
     pub flight_capacity: usize,
@@ -108,7 +91,6 @@ impl Default for ServerConfig {
         ServerConfig {
             workers: 4,
             queue_capacity: 64,
-            max_batch: 8,
             flight_capacity: 1024,
             flight_dir: None,
             slow_query_ns: None,
@@ -119,7 +101,8 @@ impl Default for ServerConfig {
 /// What a request asks the pool to do.
 #[derive(Clone, Debug)]
 enum Request {
-    /// Run the compiled query.
+    /// Run the compiled query (a batch of one on the worker's arena
+    /// pool, answered as [`QueryAnswer::Steps`]).
     Run(u64),
     /// Run `n` independent executions of the compiled query
     /// back-to-back on one worker, with engine state pooled between
@@ -159,8 +142,6 @@ pub struct StatsReport {
     /// Quantiles of `serve.stage.ns{stage=queue_wait}`, merged across
     /// tiers (`None` until at least one query has been served).
     pub queue_wait: Option<QuantileView>,
-    /// Quantiles of the tier-selection stage.
-    pub select: Option<QuantileView>,
     /// Quantiles of the execute stage.
     pub execute: Option<QuantileView>,
     /// The image's hottest program counters `(pc, executions)` from a
@@ -187,11 +168,10 @@ impl StatsReport {
             .map(|(pc, n)| format!("{{\"pc\": {pc}, \"count\": {n}}}"))
             .collect();
         format!(
-            "{{\"request_id\": {}, \"stages\": {{\"queue_wait\": {}, \"select\": {}, \
-             \"execute\": {}}}, \"hot_pcs\": [{}], \"metrics\": {}}}",
+            "{{\"request_id\": {}, \"stages\": {{\"queue_wait\": {}, \"execute\": {}}}, \
+             \"hot_pcs\": [{}], \"metrics\": {}}}",
             self.request_id,
             quantiles(&self.queue_wait),
-            quantiles(&self.select),
             quantiles(&self.execute),
             hot.join(", "),
             self.snapshot.to_json()
@@ -251,41 +231,22 @@ pub struct QueryResult {
     pub outcome: Result<QueryAnswer, String>,
 }
 
-/// One worker's run queue. Submitters push round-robin; the owning
-/// worker drains from the front; siblings steal bounded batches from
-/// the front when their own shard runs dry. Each shard has its own
-/// lock, so workers contend with at most one submitter (or one
-/// thief), never with the whole pool.
-struct Shard {
-    queue: Mutex<VecDeque<Pending>>,
-    /// `serve.queue.depth{shard=i}`.
-    depth: Gauge,
-}
-
-/// The only pool-global mutable state: how many submitted requests no
-/// worker has claimed yet, and whether the server is shutting down.
-/// Guards backpressure and sleep/wake — never the request data itself.
-struct Coord {
-    /// Submitted requests not yet claimed by a worker. Zero implies
-    /// every shard queue is empty (requests are counted until the
-    /// moment they leave a shard).
-    pending: usize,
+/// The run queue: submitted requests no worker has claimed yet, in
+/// FIFO order, and whether the server is shutting down.
+struct Queue {
+    pending: VecDeque<Pending>,
     closed: bool,
 }
 
 struct Shared {
-    shards: Vec<Shard>,
-    coord: Mutex<Coord>,
-    /// Signalled when requests arrive or the queue closes.
+    queue: Mutex<Queue>,
+    /// Signalled when a request arrives or the queue closes.
     work: Condvar,
-    /// Signalled when a batch is claimed (space for submitters).
+    /// Signalled when a request is claimed (space for submitters).
     space: Condvar,
-    /// Round-robin submit cursor over the shards.
-    rr: AtomicU64,
     results: Mutex<Vec<QueryResult>>,
     capacity: usize,
-    max_batch: usize,
-    /// `serve.queue.depth` (global): +1 on enqueue, -batch on dequeue.
+    /// `serve.queue.depth`: +1 on enqueue, -1 on dequeue.
     depth: Gauge,
     flight: Arc<FlightRecorder>,
     flight_dir: Option<PathBuf>,
@@ -354,7 +315,6 @@ fn stats_report(compiled: &Compiled, obs: &Registry, shared: &Shared, id: u64) -
     StatsReport {
         request_id: id,
         queue_wait: stage("queue_wait"),
-        select: stage("select"),
         execute: stage("execute"),
         hot_pcs,
         snapshot,
@@ -371,20 +331,13 @@ fn run_one(
 ) -> QueryResult {
     let id = req.id();
     let flight = &shared.flight;
-    // Tier selection is timed as its own stage: today it is one
-    // branch, but it is where a multi-image server would route, and
-    // the split keeps queue wait and execute honest.
-    let t_select = Instant::now();
     let tier = if compiled.fused.is_some() {
         "fused"
     } else {
         "decoded"
     };
-    let select_ns = t_select.elapsed().as_nanos() as u64;
     obs.histogram("serve.stage.ns", &[("stage", "queue_wait"), ("tier", tier)])
         .record(waited_ns);
-    obs.histogram("serve.stage.ns", &[("stage", "select"), ("tier", tier)])
-        .record(select_ns);
 
     if let Request::Stats(id) = req {
         flight.record(FlightKind::StatsQuery, *id, 0);
@@ -416,8 +369,9 @@ fn run_one(
             Ok(QueryAnswer::Batch(steps))
         }
         _ => compiled
-            .run_query_obs(obs, id)
-            .map(|run| QueryAnswer::Steps(run.steps))
+            .run_query_batch_obs(obs, id, 1, pool)
+            .remove(0)
+            .map(QueryAnswer::Steps)
             .map_err(|e| e.to_string()),
     }));
     let execute_ns = t_exec.elapsed().as_nanos() as u64;
@@ -457,92 +411,31 @@ fn run_one(
     QueryResult { id, outcome }
 }
 
-fn worker_loop(shard_id: usize, shared: &Shared, compiled: &Compiled, obs: &Registry) {
-    let shard_label = shard_id.to_string();
-    let batch_sizes = obs.histogram("serve.batch", &[]);
-    let shard_batch = obs.histogram("serve.shard.batch", &[("shard", &shard_label)]);
-    let shard_run_ns = obs.histogram("serve.shard.run.ns", &[("shard", &shard_label)]);
-    let steals = obs.counter("serve.shard.steals", &[("shard", &shard_label)]);
-    let stolen = obs.counter("serve.shard.stolen", &[("shard", &shard_label)]);
+fn worker_loop(shared: &Shared, compiled: &Compiled, obs: &Registry) {
     let mut pool = ArenaPool::new();
-    let n_shards = shared.shards.len();
     loop {
-        // 1. Drain the worker's own shard first (one lock, one batch).
-        let mut batch: Vec<Pending> = {
-            let own = &shared.shards[shard_id];
-            let mut q = own.queue.lock().expect("shard lock");
-            let n = q.len().min(shared.max_batch);
-            let taken: Vec<Pending> = q.drain(..n).collect();
-            drop(q);
-            if n > 0 {
-                own.depth.add(-(n as i64));
-            }
-            taken
-        };
-        // 2. Own shard dry: one bounded steal sweep over the siblings,
-        //    taking at most half the first non-empty victim's queue
-        //    (capped at max_batch) so the victim keeps local work.
-        if batch.is_empty() && n_shards > 1 {
-            for step in 1..n_shards {
-                let victim = &shared.shards[(shard_id + step) % n_shards];
-                let mut q = victim.queue.lock().expect("shard lock");
-                if q.is_empty() {
-                    continue;
+        // Claim the oldest request, or sleep until one arrives. A
+        // submitter pushes and signals `work` under the same lock, so
+        // no wakeup is lost; requests queued before `close()` are
+        // always served before the worker exits.
+        let (p, depth) = {
+            let mut q = shared.queue.lock().expect("queue lock");
+            loop {
+                if let Some(p) = q.pending.pop_front() {
+                    break (p, q.pending.len() as u64);
                 }
-                let n = q.len().div_ceil(2).min(shared.max_batch);
-                batch = q.drain(..n).collect();
-                drop(q);
-                victim.depth.add(-(n as i64));
-                steals.inc();
-                stolen.add(n as u64);
-                break;
+                if q.closed {
+                    return;
+                }
+                q = shared.work.wait(q).expect("queue lock");
             }
-        }
-        if batch.is_empty() {
-            // 3. Nothing visible anywhere: sleep or exit under the
-            //    coordination lock. `pending > 0` here means a submit
-            //    or a sibling's claim raced our scan — rescan rather
-            //    than sleep, so no request is ever stranded.
-            let coord = shared.coord.lock().expect("coord lock");
-            if coord.pending > 0 {
-                drop(coord);
-                std::thread::yield_now();
-                continue;
-            }
-            if coord.closed {
-                return;
-            }
-            drop(shared.work.wait(coord).expect("coord lock"));
-            continue;
-        }
-        // 4. Claimed a batch: release backpressure, then run it
-        //    back-to-back on the pinned image.
-        let n = batch.len();
-        {
-            let mut coord = shared.coord.lock().expect("coord lock");
-            coord.pending -= n;
-            shared.space.notify_all();
-        }
-        shared.depth.add(-(n as i64));
-        shared
-            .flight
-            .record(FlightKind::Dequeue, batch[0].req.id(), n as u64);
-        batch_sizes.record(n as u64);
-        shard_batch.record(n as u64);
-        let t_run = Instant::now();
-        let answered: Vec<QueryResult> = batch
-            .drain(..)
-            .map(|p| {
-                let waited_ns = p.enqueued.elapsed().as_nanos() as u64;
-                run_one(compiled, &p.req, waited_ns, obs, shared, &mut pool)
-            })
-            .collect();
-        shard_run_ns.record(t_run.elapsed().as_nanos() as u64);
-        shared
-            .results
-            .lock()
-            .expect("results lock")
-            .extend(answered);
+        };
+        shared.space.notify_one();
+        shared.depth.add(-1);
+        shared.flight.record(FlightKind::Dequeue, p.req.id(), depth);
+        let waited_ns = p.enqueued.elapsed().as_nanos() as u64;
+        let answered = run_one(compiled, &p.req, waited_ns, obs, shared, &mut pool);
+        shared.results.lock().expect("results lock").push(answered);
     }
 }
 
@@ -570,27 +463,15 @@ impl QueryServer {
         obs: &Registry,
         flight: Arc<FlightRecorder>,
     ) -> Self {
-        let n_workers = cfg.workers.max(1);
-        let shards = obs
-            .indexed_gauges("serve.queue.depth", "shard", n_workers)
-            .into_iter()
-            .map(|depth| Shard {
-                queue: Mutex::new(VecDeque::new()),
-                depth,
-            })
-            .collect();
         let shared = Arc::new(Shared {
-            shards,
-            coord: Mutex::new(Coord {
-                pending: 0,
+            queue: Mutex::new(Queue {
+                pending: VecDeque::new(),
                 closed: false,
             }),
             work: Condvar::new(),
             space: Condvar::new(),
-            rr: AtomicU64::new(0),
             results: Mutex::new(Vec::new()),
             capacity: cfg.queue_capacity.max(1),
-            max_batch: cfg.max_batch.max(1),
             depth: obs.gauge("serve.queue.depth", &[]),
             flight,
             flight_dir: cfg.flight_dir.clone(),
@@ -598,12 +479,12 @@ impl QueryServer {
             dump_seq: AtomicU64::new(0),
             hot_pcs: OnceLock::new(),
         });
-        let workers = (0..n_workers)
-            .map(|shard_id| {
+        let workers = (0..cfg.workers.max(1))
+            .map(|_| {
                 let shared = Arc::clone(&shared);
                 let compiled = Arc::clone(&compiled);
                 let obs = obs.clone();
-                std::thread::spawn(move || worker_loop(shard_id, &shared, &compiled, &obs))
+                std::thread::spawn(move || worker_loop(&shared, &compiled, &obs))
             })
             .collect();
         QueryServer { shared, workers }
@@ -619,21 +500,15 @@ impl QueryServer {
     fn enqueue(&self, req: Request) {
         let id = req.id();
         let shared = &*self.shared;
-        // Lock order is coord → shard (this is the only place both are
-        // held); workers only ever take one lock at a time.
-        let mut coord = shared.coord.lock().expect("coord lock");
-        while coord.pending >= shared.capacity {
-            coord = shared.space.wait(coord).expect("coord lock");
+        let mut q = shared.queue.lock().expect("queue lock");
+        while q.pending.len() >= shared.capacity {
+            q = shared.space.wait(q).expect("queue lock");
         }
-        let ix = shared.rr.fetch_add(1, Ordering::Relaxed) as usize % shared.shards.len();
-        let shard = &shared.shards[ix];
-        shard.queue.lock().expect("shard lock").push_back(Pending {
+        q.pending.push_back(Pending {
             req,
             enqueued: Instant::now(),
         });
-        shard.depth.add(1);
-        coord.pending += 1;
-        let depth = coord.pending as u64;
+        let depth = q.pending.len() as u64;
         shared.depth.add(1);
         shared.flight.record(FlightKind::Enqueue, id, depth);
         shared.work.notify_one();
@@ -706,8 +581,7 @@ impl QueryServer {
     }
 
     fn close(&self) {
-        let mut coord = self.shared.coord.lock().expect("coord lock");
-        coord.closed = true;
+        self.shared.queue.lock().expect("queue lock").closed = true;
         self.shared.work.notify_all();
     }
 }
@@ -757,53 +631,57 @@ mod tests {
 
     #[test]
     fn serves_many_queries_against_one_image() {
-        let obs = Registry::new();
-        let server = QueryServer::start(
-            compiled(),
-            &ServerConfig {
-                workers: 4,
-                queue_capacity: 8,
-                max_batch: 4,
-                ..ServerConfig::default()
-            },
-            &obs,
-        );
-        for id in 0..100 {
-            server.submit(id);
+        // Capacity 1 keeps all four workers and the submitter racing on
+        // a full queue (backpressure and lost-wakeup coverage); 8 lets
+        // requests pile up between claims.
+        for queue_capacity in [1, 8] {
+            let obs = Registry::new();
+            let server = QueryServer::start(
+                compiled(),
+                &ServerConfig {
+                    workers: 4,
+                    queue_capacity,
+                    ..ServerConfig::default()
+                },
+                &obs,
+            );
+            for id in 0..100 {
+                server.submit(id);
+            }
+            let results = server.finish();
+            assert_eq!(results.len(), 100, "capacity {queue_capacity}");
+            let steps = steps_of(&results[0]);
+            for r in &results {
+                assert_eq!(steps_of(r), steps);
+            }
+            assert_eq!(
+                results.iter().map(|r| r.id).collect::<Vec<_>>(),
+                (0..100).collect::<Vec<_>>(),
+                "every id answered exactly once"
+            );
+            assert_eq!(obs.counter("serve.queries.ok", &[]).get(), 100);
+            assert_eq!(obs.counter("serve.queries.failed", &[]).get(), 0);
+            assert_eq!(obs.counter("serve.queries.panicked", &[]).get(), 0);
+            assert_eq!(
+                obs.counter("serve.tier", &[("tier", "decoded")]).get(),
+                100,
+                "no fused tier installed: every query ran decoded"
+            );
+            assert_eq!(
+                obs.gauge("serve.queue.depth", &[]).get(),
+                0,
+                "every enqueue was matched by a dequeue"
+            );
+            assert_eq!(
+                obs.histogram(
+                    "serve.stage.ns",
+                    &[("stage", "execute"), ("tier", "decoded")]
+                )
+                .count(),
+                100,
+                "every query recorded its execute latency"
+            );
         }
-        let results = server.finish();
-        assert_eq!(results.len(), 100);
-        let steps = steps_of(&results[0]);
-        for r in &results {
-            assert_eq!(steps_of(r), steps);
-        }
-        assert_eq!(
-            results.iter().map(|r| r.id).collect::<Vec<_>>(),
-            (0..100).collect::<Vec<_>>()
-        );
-        assert_eq!(obs.counter("serve.queries.ok", &[]).get(), 100);
-        assert_eq!(obs.counter("serve.queries.failed", &[]).get(), 0);
-        assert_eq!(obs.counter("serve.queries.panicked", &[]).get(), 0);
-        assert_eq!(
-            obs.counter("serve.tier", &[("tier", "decoded")]).get(),
-            100,
-            "no fused tier installed: every query ran decoded"
-        );
-        assert!(obs.histogram("serve.batch", &[]).count() > 0);
-        assert_eq!(
-            obs.gauge("serve.queue.depth", &[]).get(),
-            0,
-            "every enqueue was matched by a dequeue"
-        );
-        assert_eq!(
-            obs.histogram(
-                "serve.stage.ns",
-                &[("stage", "execute"), ("tier", "decoded")]
-            )
-            .count(),
-            100,
-            "every query recorded its execute latency"
-        );
     }
 
     #[test]
@@ -850,107 +728,6 @@ mod tests {
         assert!(err.starts_with("batch sub-query 0 of 4:"), "{err}");
         assert_eq!(obs.counter("serve.queries.failed", &[]).get(), 1);
         assert_eq!(obs.counter("serve.batch.queries", &[]).get(), 0);
-    }
-
-    #[test]
-    fn a_worker_with_a_dry_shard_steals_bounded_batches_from_a_sibling() {
-        let obs = Registry::new();
-        let compiled = compiled();
-        let shards: Vec<Shard> = obs
-            .indexed_gauges("serve.queue.depth", "shard", 2)
-            .into_iter()
-            .map(|depth| Shard {
-                queue: Mutex::new(VecDeque::new()),
-                depth,
-            })
-            .collect();
-        let shared = Shared {
-            shards,
-            coord: Mutex::new(Coord {
-                pending: 5,
-                closed: true,
-            }),
-            work: Condvar::new(),
-            space: Condvar::new(),
-            rr: AtomicU64::new(0),
-            results: Mutex::new(Vec::new()),
-            capacity: 64,
-            max_batch: 8,
-            depth: obs.gauge("serve.queue.depth", &[]),
-            flight: Arc::new(FlightRecorder::new(64)),
-            flight_dir: None,
-            slow_query_ns: None,
-            dump_seq: AtomicU64::new(0),
-            hot_pcs: OnceLock::new(),
-        };
-        {
-            let mut q = shared.shards[1].queue.lock().unwrap();
-            for id in 0..5 {
-                q.push_back(Pending {
-                    req: Request::Run(id),
-                    enqueued: Instant::now(),
-                });
-            }
-        }
-        shared.shards[1].depth.add(5);
-        shared.depth.add(5);
-        // Worker 0's own shard is empty and the pool is already
-        // closed: every request it answers must come through the
-        // steal path, deterministically.
-        worker_loop(0, &shared, &compiled, &obs);
-        let results = shared.results.into_inner().unwrap();
-        assert_eq!(results.len(), 5);
-        assert!(results.iter().all(|r| r.outcome.is_ok()));
-        assert_eq!(
-            obs.counter("serve.shard.steals", &[("shard", "0")]).get(),
-            3,
-            "ceil-half stealing drains 5 requests as 3 + 1 + 1"
-        );
-        assert_eq!(
-            obs.counter("serve.shard.stolen", &[("shard", "0")]).get(),
-            5
-        );
-        assert_eq!(obs.gauge("serve.queue.depth", &[("shard", "1")]).get(), 0);
-        assert_eq!(obs.gauge("serve.queue.depth", &[]).get(), 0);
-        assert_eq!(obs.counter("serve.queries.ok", &[]).get(), 5);
-    }
-
-    #[test]
-    fn sharded_queues_account_depth_and_batches_per_worker() {
-        let obs = Registry::new();
-        let server = QueryServer::start(
-            compiled(),
-            &ServerConfig {
-                workers: 3,
-                ..ServerConfig::default()
-            },
-            &obs,
-        );
-        for id in 0..60 {
-            server.submit(id);
-        }
-        let results = server.finish();
-        assert_eq!(results.len(), 60);
-        for i in 0..3usize {
-            let label = i.to_string();
-            assert_eq!(
-                obs.gauge("serve.queue.depth", &[("shard", &label)]).get(),
-                0,
-                "shard {i} drained completely"
-            );
-        }
-        let global_batches = obs.histogram("serve.batch", &[]).count();
-        let per_shard = |name: &str| -> u64 {
-            (0..3usize)
-                .map(|i| obs.histogram(name, &[("shard", &i.to_string())]).count())
-                .sum()
-        };
-        assert_eq!(
-            per_shard("serve.shard.batch"),
-            global_batches,
-            "every claimed batch is attributed to exactly one shard"
-        );
-        assert_eq!(per_shard("serve.shard.run.ns"), global_batches);
     }
 
     #[test]
@@ -1002,7 +779,6 @@ mod tests {
             &ServerConfig {
                 workers: 0,
                 queue_capacity: 0,
-                max_batch: 0,
                 flight_capacity: 0,
                 ..ServerConfig::default()
             },

@@ -54,16 +54,18 @@ fn repeated_parallel_runs_agree_with_each_other() {
 
 /// The batched serving path must be bit-identical to sequential
 /// execution for every (worker count) × (batch size) combination —
-/// including worker counts past the physical core count, where work
-/// stealing genuinely shuffles which worker runs which request. A
-/// panic probe rides in the middle of every stream: containment must
-/// not perturb any neighbouring answer.
+/// including worker counts past the physical core count, where workers
+/// genuinely race for which request they claim. A plain query follows
+/// every batch request (the pooled batch-of-one path), and a panic
+/// probe rides in the middle of every stream: containment must not
+/// perturb any neighbouring answer.
 #[test]
 fn batched_serving_is_bit_identical_for_every_worker_and_batch_size() {
     use std::sync::Arc;
     use symbol_serve::server::{QueryServer, ServerConfig};
 
     const QUERIES: usize = 12;
+    const PLAIN: u64 = 2000;
     for name in SUBSET {
         let b = benchmarks::by_name(name).expect("known benchmark");
         let compiled = Arc::new(Compiled::from_source(b.source).expect("compiles"));
@@ -76,7 +78,6 @@ fn batched_serving_is_bit_identical_for_every_worker_and_batch_size() {
                     &ServerConfig {
                         workers,
                         queue_capacity: 8,
-                        max_batch: 2,
                         flight_capacity: 0,
                         ..ServerConfig::default()
                     },
@@ -87,6 +88,7 @@ fn batched_serving_is_bit_identical_for_every_worker_and_batch_size() {
                 while remaining > 0 {
                     let n = remaining.min(batch);
                     server.submit_batch(id, n);
+                    server.submit(PLAIN + id);
                     id += 1;
                     remaining -= n;
                     if id == 2 {
@@ -95,19 +97,26 @@ fn batched_serving_is_bit_identical_for_every_worker_and_batch_size() {
                     }
                 }
                 let results = server.finish();
-                assert_eq!(results.len(), id as usize + 1);
+                assert_eq!(results.len(), 2 * id as usize + 1);
                 let mut answered = 0;
+                let mut plain_answered = 0;
                 for r in &results {
                     if r.id == 1000 {
                         assert!(r.outcome.is_err(), "{name}: probe panics, contained");
                         continue;
                     }
-                    let steps = r
-                        .outcome
-                        .as_ref()
-                        .expect("batch request succeeds")
-                        .batch()
-                        .expect("batch answer");
+                    let answer = r.outcome.as_ref().expect("run request succeeds");
+                    if r.id >= PLAIN {
+                        assert_eq!(
+                            answer.steps(),
+                            Some(reference),
+                            "{name}: workers={workers} batch={batch}: plain query {}",
+                            r.id
+                        );
+                        plain_answered += 1;
+                        continue;
+                    }
+                    let steps = answer.batch().expect("batch answer");
                     assert!(
                         steps.iter().all(|&s| s == reference),
                         "{name}: workers={workers} batch={batch}: {steps:?} != \
@@ -119,8 +128,9 @@ fn batched_serving_is_bit_identical_for_every_worker_and_batch_size() {
                     answered, QUERIES,
                     "{name}: workers={workers} batch={batch}: wrong sub-query count"
                 );
+                assert_eq!(plain_answered, id, "{name}: one plain answer per batch");
                 // Results are sorted by id: index order, independent
-                // of which worker or steal path answered.
+                // of which worker answered.
                 assert!(results.windows(2).all(|w| w[0].id < w[1].id));
             }
         }
